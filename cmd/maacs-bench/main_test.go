@@ -1,16 +1,20 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestBenchToolSmoke runs the whole tool on the fast curve with a minimal
 // sweep and checks every experiment section renders with a shape verdict.
 // The JSON reports go to a temp dir so the test never overwrites the
-// committed BENCH_*.json artifacts with fast-curve numbers.
+// committed BENCH_*.json artifacts with fast-curve numbers; the test fails
+// if the run creates or rewrites any BENCH_*.json in the package directory.
 func TestBenchToolSmoke(t *testing.T) {
+	before := benchArtifacts(t)
 	dir := t.TempDir()
 	var sb strings.Builder
 	err := run([]string{"-fast", "-points", "2,3", "-trials", "1", "-fixed", "2", "-ciphertexts", "2",
@@ -20,6 +24,7 @@ func TestBenchToolSmoke(t *testing.T) {
 		"-pairing-json", filepath.Join(dir, "pairing.json"),
 		"-walcommit-json", filepath.Join(dir, "walcommit.json"),
 		"-load-json", filepath.Join(dir, "load.json"),
+		"-fetchpath-json", filepath.Join(dir, "fetchpath.json"),
 		"-load-duration", "100ms", "-load-rates", "80",
 		"-load-owners", "2", "-load-users", "2", "-load-records", "2",
 	}, &sb)
@@ -38,6 +43,31 @@ func TestBenchToolSmoke(t *testing.T) {
 			t.Fatalf("output missing %q", want)
 		}
 	}
+	after := benchArtifacts(t)
+	for name, mod := range after {
+		if was, ok := before[name]; !ok || !was.Equal(mod) {
+			t.Errorf("smoke run wrote %s in the package directory", name)
+		}
+	}
+}
+
+// benchArtifacts maps each BENCH_*.json in the working directory to its
+// modification time.
+func benchArtifacts(t *testing.T) map[string]time.Time {
+	t.Helper()
+	names, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]time.Time, len(names))
+	for _, name := range names {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = fi.ModTime()
+	}
+	return out
 }
 
 // TestBenchToolRejectsUnknownMode pins the -what contract: an experiment

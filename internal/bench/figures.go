@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"maacs/internal/engine"
 	"maacs/internal/pairing"
 )
 
@@ -86,11 +87,17 @@ func SweepAttrs(spec SweepSpec, op operation) (*Series, error) {
 	return s, nil
 }
 
-// measurePoint runs both schemes at one workload point and averages.
+// measurePoint runs both schemes at one workload point and averages. The
+// engine pool is pinned to one worker, as in the paper's single-threaded
+// evaluation: on a parallel pool the n_A extra decryption pairings of our
+// scheme run on otherwise idle cores, and the wall times no longer follow
+// the operation counts the figures compare.
 func measurePoint(cfg Config, trials int, op operation) (Point, error) {
 	if trials < 1 {
 		trials = 1
 	}
+	restore := engine.SetWorkers(1)
+	defer restore()
 	ours, err := SetupOurs(cfg)
 	if err != nil {
 		return Point{}, err

@@ -13,10 +13,10 @@ import (
 	"maacs/internal/waters"
 )
 
-// PairingPoint is one measured operation of the pairing-kernel comparison:
-// the same work run on the fixed-width Montgomery kernel, the projective
-// big.Int kernel it replaced on the hot path, and the retained affine/naive
-// reference.
+// PairingPoint is one measured operation of the pairing report: the work
+// run on the Montgomery kernel and, where the pairing package has a named
+// oracle entry point for it (PairReference, G.ExpReference,
+// GT.ExpReference), on that affine/naive reference.
 type PairingPoint struct {
 	// Op names the operation: "pair", "prepared-pair", "prepare", "g-exp",
 	// "gt-exp", a per-scheme "encrypt"/"encrypt-lewko"/"encrypt-waters",
@@ -25,17 +25,13 @@ type PairingPoint struct {
 	// Reps is the number of back-to-back executions inside one timed trial;
 	// the recorded times are already divided down to per-operation cost.
 	Reps int `json:"reps"`
-	// MontgomeryNs, ProjectiveNs, and ReferenceNs are best-of-trials per-op
-	// wall times for the three kernels.
+	// MontgomeryNs is the best-of-trials per-op wall time on the kernel.
 	MontgomeryNs int64 `json:"montgomery_ns"`
-	ProjectiveNs int64 `json:"projective_ns"`
-	ReferenceNs  int64 `json:"reference_ns"`
-	// Speedup is ReferenceNs / MontgomeryNs (cumulative over all kernel
-	// work); SpeedupVsProjective is ProjectiveNs / MontgomeryNs, the gain of
-	// the Montgomery limb representation alone over the previous big.Int
-	// projective kernel.
-	Speedup             float64 `json:"speedup"`
-	SpeedupVsProjective float64 `json:"speedup_vs_projective"`
+	// ReferenceNs is the same for the oracle entry point, and Speedup is
+	// ReferenceNs / MontgomeryNs. Both are zero (and omitted) on rows with
+	// no oracle: prepare, prepared-pair and the whole-scheme rows.
+	ReferenceNs int64   `json:"reference_ns,omitempty"`
+	Speedup     float64 `json:"speedup,omitempty"`
 }
 
 // FieldPoint is one field-primitive row: the innermost arithmetic the
@@ -57,7 +53,7 @@ type FieldPoint struct {
 }
 
 // PairingReport is the machine-readable result of MeasurePairing, written
-// to BENCH_pairing.json. All kernels run single-threaded (the engine pool
+// to BENCH_pairing.json. Everything runs single-threaded (the engine pool
 // is pinned to one worker for the scheme-level rows), so the speedups are
 // pure kernel arithmetic, not parallelism.
 type PairingReport struct {
@@ -88,31 +84,37 @@ func timeBestPerOp(trials, reps int, f func() error) (time.Duration, error) {
 	return best / time.Duration(reps), nil
 }
 
-// measureKernels times the op on all three kernels and appends the point.
-// mont, proj, and ref are closures bound to per-kernel Params clones.
-func (r *PairingReport) measureKernels(op string, reps int, mont, proj, ref func() error) error {
+// measure times the op on the kernel and, when ref is non-nil, on its
+// oracle entry point, and appends the point.
+func (r *PairingReport) measure(op string, reps int, mont, ref func() error) error {
 	m, err := timeBestPerOp(r.Trials, reps, mont)
 	if err != nil {
 		return fmt.Errorf("%s montgomery: %w", op, err)
 	}
-	pj, err := timeBestPerOp(r.Trials, reps, proj)
-	if err != nil {
-		return fmt.Errorf("%s projective: %w", op, err)
+	pt := PairingPoint{Op: op, Reps: reps, MontgomeryNs: m.Nanoseconds()}
+	if ref != nil {
+		rf, err := timeBestPerOp(r.Trials, reps, ref)
+		if err != nil {
+			return fmt.Errorf("%s reference: %w", op, err)
+		}
+		pt.ReferenceNs = rf.Nanoseconds()
+		pt.Speedup = float64(rf.Nanoseconds()) / float64(m.Nanoseconds())
 	}
-	rf, err := timeBestPerOp(r.Trials, reps, ref)
-	if err != nil {
-		return fmt.Errorf("%s reference: %w", op, err)
-	}
-	r.Points = append(r.Points, PairingPoint{
-		Op:                  op,
-		Reps:                reps,
-		MontgomeryNs:        m.Nanoseconds(),
-		ProjectiveNs:        pj.Nanoseconds(),
-		ReferenceNs:         rf.Nanoseconds(),
-		Speedup:             float64(rf.Nanoseconds()) / float64(m.Nanoseconds()),
-		SpeedupVsProjective: float64(pj.Nanoseconds()) / float64(m.Nanoseconds()),
-	})
+	r.Points = append(r.Points, pt)
 	return nil
+}
+
+// repeat returns a trial body running f n times, stopping at the first
+// error.
+func repeat(n int, f func() error) func() error {
+	return func() error {
+		for i := 0; i < n; i++ {
+			if err := f(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // minFieldReps floors every field row: fewer iterations than this cannot
@@ -145,13 +147,9 @@ func calibrateFieldReps(f func()) int {
 }
 
 // measureFields builds the field-primitive rows from the pairing package's
-// exported closures. The Montgomery closures are nil when the prime exceeds
-// the fixed limb width; the rows are skipped in that case.
+// exported closures.
 func (r *PairingReport) measureFields(p *pairing.Params) error {
 	for _, op := range p.FieldBench() {
-		if op.Montgomery == nil {
-			continue
-		}
 		// Both columns share one rep count (sized by the slower closure) so
 		// the per-op times divide identically.
 		reps := calibrateFieldReps(op.Montgomery)
@@ -187,24 +185,12 @@ func (r *PairingReport) measureFields(p *pairing.Params) error {
 	return nil
 }
 
-// kernelClone builds an independent Params with the same constants as p and
-// the requested kernel, so flipping the kernel never mutates shared state.
-func kernelClone(p *pairing.Params, k pairing.Kernel) (*pairing.Params, error) {
-	q, r, h, gx, gy := p.Export()
-	c, err := pairing.NewParams(q, r, h, gx, gy)
-	if err != nil {
-		return nil, err
-	}
-	c.SetKernel(k)
-	return c, nil
-}
-
-// MeasurePairing produces the three-kernel comparison behind
-// BENCH_pairing.json: the field primitives (Montgomery limbs vs math/big),
-// the pairing primitives head-to-head across the Montgomery, projective,
-// and reference kernels, then a whole-scheme encrypt/decrypt at the given
-// attribute count with every group operation routed through each kernel.
-// attrs is split as one authority with attrs attributes.
+// MeasurePairing produces the pairing report behind BENCH_pairing.json:
+// the field primitives (Montgomery limbs vs math/big), the pairing
+// primitives on the Montgomery kernel against their reference-oracle entry
+// points, then whole-scheme encrypt/decrypt rows at the given attribute
+// count on the kernel alone. attrs is split as one authority with attrs
+// attributes.
 func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*PairingReport, error) {
 	report := &PairingReport{
 		RBits:  params.R.BitLen(),
@@ -212,214 +198,97 @@ func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*
 		Trials: trials,
 		Attrs:  attrs,
 	}
-	mont, err := kernelClone(params, pairing.KernelMontgomery)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := kernelClone(params, pairing.KernelProjective)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := kernelClone(params, pairing.KernelReference)
-	if err != nil {
+	if err := report.measureFields(params); err != nil {
 		return nil, err
 	}
 
-	if err := report.measureFields(mont); err != nil {
+	// Primitive rows on fresh random elements.
+	g := params.Generator()
+	ka, err := params.RandomScalar(rnd)
+	if err != nil {
 		return nil, err
 	}
-
-	// Primitive rows. Each kernel gets its own elements so results stay
-	// comparable without cross-Params mixing.
-	type prim struct {
-		op   string
-		reps int
-		mk   func(p *pairing.Params) (func() error, error)
+	kb, err := params.RandomScalar(rnd)
+	if err != nil {
+		return nil, err
 	}
-	prims := []prim{
-		{"pair", 2, func(p *pairing.Params) (func() error, error) {
-			ka, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			kb, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			ga, gb := p.Generator().Exp(ka), p.Generator().Exp(kb)
-			return func() error {
-				for i := 0; i < 2; i++ {
-					p.MustPair(ga, gb)
-				}
-				return nil
-			}, nil
-		}},
-		{"prepare", 2, func(p *pairing.Params) (func() error, error) {
-			g := p.Generator()
-			return func() error {
-				for i := 0; i < 2; i++ {
-					p.Prepare(g)
-				}
-				return nil
-			}, nil
-		}},
-		{"prepared-pair", 4, func(p *pairing.Params) (func() error, error) {
-			pre := p.Prepare(p.Generator())
-			k, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			q := p.Generator().Exp(k)
-			return func() error {
-				for i := 0; i < 4; i++ {
-					if _, err := pre.Pair(q); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, nil
-		}},
-		{"g-exp", 8, func(p *pairing.Params) (func() error, error) {
-			k, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			g := p.Generator()
-			return func() error {
-				for i := 0; i < 8; i++ {
-					g.Exp(k)
-				}
-				return nil
-			}, nil
-		}},
-		{"gt-exp", 8, func(p *pairing.Params) (func() error, error) {
-			e := p.GTGenerator()
-			k, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			return func() error {
-				for i := 0; i < 8; i++ {
-					e.Exp(k)
-				}
-				return nil
-			}, nil
-		}},
+	ga, gb := g.Exp(ka), g.Exp(kb)
+	e := params.GTGenerator()
+	pre := params.Prepare(g)
+	rows := []struct {
+		op        string
+		reps      int
+		mont, ref func() error
+	}{
+		{"pair", 2,
+			func() error { _, err := params.Pair(ga, gb); return err },
+			func() error { _, err := params.PairReference(ga, gb); return err }},
+		{"prepare", 2,
+			func() error { params.Prepare(g); return nil }, nil},
+		{"prepared-pair", 4,
+			func() error { _, err := pre.Pair(gb); return err }, nil},
+		{"g-exp", 8,
+			func() error { g.Exp(ka); return nil },
+			func() error { g.ExpReference(ka); return nil }},
+		{"gt-exp", 8,
+			func() error { e.Exp(kb); return nil },
+			func() error { e.ExpReference(kb); return nil }},
 	}
-	for _, pr := range prims {
-		fMont, err := pr.mk(mont)
-		if err != nil {
-			return nil, err
+	for _, row := range rows {
+		var ref func() error
+		if row.ref != nil {
+			ref = repeat(row.reps, row.ref)
 		}
-		fProj, err := pr.mk(proj)
-		if err != nil {
-			return nil, err
-		}
-		fRef, err := pr.mk(ref)
-		if err != nil {
-			return nil, err
-		}
-		if err := report.measureKernels(pr.op, pr.reps, fMont, fProj, fRef); err != nil {
+		if err := report.measure(row.op, row.reps, repeat(row.reps, row.mont), ref); err != nil {
 			return nil, err
 		}
 	}
 
-	// Whole-scheme rows: the same workload point built once per kernel, with
-	// the engine pool pinned to one worker so the comparison stays
-	// single-threaded.
+	// Whole-scheme rows, with the engine pool pinned to one worker so the
+	// timings stay single-threaded.
 	restore := engine.SetWorkers(1)
 	defer restore()
-	mkScheme := func(p *pairing.Params) (func() error, func() error, error) {
-		w, err := SetupOurs(Config{Params: p, Authorities: 1, AttrsPerAuthority: attrs, Rnd: rnd})
-		if err != nil {
-			return nil, nil, err
-		}
-		ct, _, err := w.Encrypt()
-		if err != nil {
-			return nil, nil, err
-		}
-		enc := func() error {
-			_, _, err := w.Encrypt()
-			return err
-		}
-		dec := func() error {
-			_, err := w.Decrypt(ct)
-			return err
-		}
-		return enc, dec, nil
-	}
-	encMont, decMont, err := mkScheme(mont)
+	ours, err := SetupOurs(Config{Params: params, Authorities: 1, AttrsPerAuthority: attrs, Rnd: rnd})
 	if err != nil {
-		return nil, fmt.Errorf("pairing bench setup montgomery: %w", err)
+		return nil, fmt.Errorf("pairing bench setup: %w", err)
 	}
-	encProj, decProj, err := mkScheme(proj)
+	ct, _, err := ours.Encrypt()
 	if err != nil {
-		return nil, fmt.Errorf("pairing bench setup projective: %w", err)
-	}
-	encRef, decRef, err := mkScheme(ref)
-	if err != nil {
-		return nil, fmt.Errorf("pairing bench setup reference: %w", err)
-	}
-	if err := report.measureKernels("encrypt", 1, encMont, encProj, encRef); err != nil {
 		return nil, err
 	}
-	if err := report.measureKernels("decrypt", 1, decMont, decProj, decRef); err != nil {
+	// The comparison schemes' encrypt loops run the same per-attribute
+	// two-base exponentiations through the engine's table caches, so the
+	// encrypt rows cover every scheme, not just the paper's. Each runs one
+	// untimed encryption first to warm its tables like a live server.
+	lewko, err := SetupLewko(Config{Params: params, Authorities: 1, AttrsPerAuthority: attrs, Rnd: rnd})
+	if err != nil {
+		return nil, fmt.Errorf("pairing bench setup encrypt-lewko: %w", err)
+	}
+	if _, _, err := lewko.Encrypt(); err != nil {
 		return nil, err
 	}
-
-	// Per-scheme encrypt rows: the comparison schemes' encrypt loops run
-	// the same per-attribute two-base exponentiations through the engine's
-	// table caches, so the headline "encrypt wins" claim is visible for
-	// every scheme, not just the paper's.
-	mkLewko := func(p *pairing.Params) (func() error, error) {
-		w, err := SetupLewko(Config{Params: p, Authorities: 1, AttrsPerAuthority: attrs, Rnd: rnd})
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := w.Encrypt(); err != nil { // warm tables like a live server
-			return nil, err
-		}
-		return func() error {
-			_, _, err := w.Encrypt()
-			return err
-		}, nil
+	auth, err := waters.Setup(params, rnd)
+	if err != nil {
+		return nil, fmt.Errorf("pairing bench setup encrypt-waters: %w", err)
 	}
-	mkWaters := func(p *pairing.Params) (func() error, error) {
-		auth, err := waters.Setup(p, rnd)
-		if err != nil {
-			return nil, err
-		}
-		names := attrNames(attrs)
-		policy := strings.Join(names, " AND ")
-		m, _, err := p.RandomGT(rnd)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := waters.Encrypt(auth.PK, m, policy, rnd); err != nil {
-			return nil, err
-		}
-		return func() error {
-			_, err := waters.Encrypt(auth.PK, m, policy, rnd)
-			return err
-		}, nil
+	policy := strings.Join(attrNames(attrs), " AND ")
+	m, _, err := params.RandomGT(rnd)
+	if err != nil {
+		return nil, err
 	}
-	for _, sch := range []struct {
+	if _, err := waters.Encrypt(auth.PK, m, policy, rnd); err != nil {
+		return nil, err
+	}
+	for _, row := range []struct {
 		op string
-		mk func(p *pairing.Params) (func() error, error)
-	}{{"encrypt-lewko", mkLewko}, {"encrypt-waters", mkWaters}} {
-		fMont, err := sch.mk(mont)
-		if err != nil {
-			return nil, fmt.Errorf("pairing bench setup %s montgomery: %w", sch.op, err)
-		}
-		fProj, err := sch.mk(proj)
-		if err != nil {
-			return nil, fmt.Errorf("pairing bench setup %s projective: %w", sch.op, err)
-		}
-		fRef, err := sch.mk(ref)
-		if err != nil {
-			return nil, fmt.Errorf("pairing bench setup %s reference: %w", sch.op, err)
-		}
-		if err := report.measureKernels(sch.op, 1, fMont, fProj, fRef); err != nil {
+		f  func() error
+	}{
+		{"encrypt", func() error { _, _, err := ours.Encrypt(); return err }},
+		{"decrypt", func() error { _, err := ours.Decrypt(ct); return err }},
+		{"encrypt-lewko", func() error { _, _, err := lewko.Encrypt(); return err }},
+		{"encrypt-waters", func() error { _, err := waters.Encrypt(auth.PK, m, policy, rnd); return err }},
+	} {
+		if err := report.measure(row.op, 1, row.f, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -435,7 +304,7 @@ func (r *PairingReport) WriteJSON(w io.Writer) error {
 
 // Render prints a human-readable table of the report.
 func (r *PairingReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "Pairing kernels montgomery vs projective vs reference — |r|=%d, |q|=%d bits, attrs=%d (%d trials, best-of, single-threaded)\n",
+	fmt.Fprintf(w, "Pairing kernel montgomery vs reference oracle — |r|=%d, |q|=%d bits, attrs=%d (%d trials, best-of, single-threaded)\n",
 		r.RBits, r.QBits, r.Attrs, r.Trials)
 	if len(r.Fields) > 0 {
 		fmt.Fprintf(w, "%-14s %14s %14s %8s %12s %12s\n",
@@ -446,11 +315,13 @@ func (r *PairingReport) Render(w io.Writer) {
 				f.MontgomeryAllocs, f.BigIntAllocs)
 		}
 	}
-	fmt.Fprintf(w, "%-14s %14s %14s %14s %9s %8s\n",
-		"op", "montgomery", "projective", "reference", "vs proj", "speedup")
+	fmt.Fprintf(w, "%-14s %14s %14s %8s\n", "op", "montgomery", "reference", "speedup")
 	for _, pt := range r.Points {
-		fmt.Fprintf(w, "%-14s %14s %14s %14s %8.2fx %7.2fx\n",
-			pt.Op, time.Duration(pt.MontgomeryNs), time.Duration(pt.ProjectiveNs),
-			time.Duration(pt.ReferenceNs), pt.SpeedupVsProjective, pt.Speedup)
+		if pt.ReferenceNs == 0 {
+			fmt.Fprintf(w, "%-14s %14s %14s %8s\n", pt.Op, time.Duration(pt.MontgomeryNs), "-", "-")
+			continue
+		}
+		fmt.Fprintf(w, "%-14s %14s %14s %7.2fx\n",
+			pt.Op, time.Duration(pt.MontgomeryNs), time.Duration(pt.ReferenceNs), pt.Speedup)
 	}
 }

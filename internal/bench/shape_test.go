@@ -20,7 +20,7 @@ func TestPaperShapesOnTestCurve(t *testing.T) {
 		Rnd:    rand.Reader,
 		Xs:     []int{2, 4, 6},
 		Fixed:  4,
-		Trials: 5,
+		Trials: 20, // the paper's trial count
 	}
 	encA, err := SweepAuthorities(spec, OpEncrypt)
 	if err != nil {

@@ -36,37 +36,6 @@ func tableExp(p *pairing.Params, g *pairing.G, k *big.Int) *pairing.G {
 	return PreparedExp(g).Exp(k)
 }
 
-// DualExpGT computes t^x · u^y in the target group. On the Lucas-capable
-// kernels (Montgomery and projective) two independent ladders are cheaper
-// than a shared squaring chain of full F_q² multiplications — the Lucas
-// ladder tracks only traces; the reference kernel keeps the Shamir chain,
-// whose shared squarings beat two square-and-multiply passes.
-func DualExpGT(t *pairing.GT, x *big.Int, u *pairing.GT, y *big.Int) *pairing.GT {
-	p := t.Params()
-	if u.Params() != p {
-		panic(pairing.ErrMixedParams)
-	}
-	if p.Kernel() != pairing.KernelReference {
-		return t.Exp(x).Mul(u.Exp(y))
-	}
-	xx := new(big.Int).Mod(x, p.R)
-	yy := new(big.Int).Mod(y, p.R)
-	tu := t.Mul(u)
-	acc := p.OneGT()
-	for i := maxBitLen(xx, yy) - 1; i >= 0; i-- {
-		acc = acc.Mul(acc)
-		switch {
-		case xx.Bit(i) == 1 && yy.Bit(i) == 1:
-			acc = acc.Mul(tu)
-		case xx.Bit(i) == 1:
-			acc = acc.Mul(t)
-		case yy.Bit(i) == 1:
-			acc = acc.Mul(u)
-		}
-	}
-	return acc
-}
-
 // FixedBaseExpAll computes g^ks[i] for the group generator across the pool,
 // using the precomputed generator window table.
 func (p *Pool) FixedBaseExpAll(params *pairing.Params, ks []*big.Int) []*pairing.G {
@@ -76,11 +45,4 @@ func (p *Pool) FixedBaseExpAll(params *pairing.Params, ks []*big.Int) []*pairing
 		return nil
 	})
 	return out
-}
-
-func maxBitLen(x, y *big.Int) int {
-	if x.BitLen() >= y.BitLen() {
-		return x.BitLen()
-	}
-	return y.BitLen()
 }

@@ -69,26 +69,6 @@ func TestDualExpEdgeExponents(t *testing.T) {
 	}
 }
 
-func TestDualExpGTMatchesNaive(t *testing.T) {
-	p := pairing.Test()
-	for trial := 0; trial < 8; trial++ {
-		u, _, err := p.RandomGT(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, _, err := p.RandomGT(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, _ := p.RandomScalar(rand.Reader)
-		y, _ := p.RandomScalar(rand.Reader)
-		want := u.Exp(x).Mul(v.Exp(y))
-		if got := DualExpGT(u, x, v, y); !got.Equal(want) {
-			t.Fatalf("trial %d: DualExpGT diverged", trial)
-		}
-	}
-}
-
 func TestDualExpMixedParamsPanics(t *testing.T) {
 	p1 := pairing.Test()
 	p2 := pairing.Default()

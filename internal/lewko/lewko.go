@@ -152,6 +152,11 @@ func (a *Authority) PublicKeys() map[string]*AttrPublicKey {
 type SecretKey struct {
 	GID   string
 	KAttr map[string]*pairing.G // qualified attr → g^α_x·H(GID)^y_x
+	// h is H(hGID), kept from KeyGen so that Decrypt does not hash the
+	// user's fixed identity again on every call. Decrypt rehashes when it
+	// is nil (a hand-built key) or hGID no longer matches GID.
+	h    *pairing.G
+	hGID string
 }
 
 // KeyGen issues keys for the given local attribute names to the user with
@@ -162,7 +167,7 @@ func (a *Authority) KeyGen(gid string, attrNames []string) (*SecretKey, error) {
 		return nil, err
 	}
 	g := a.sys.Params.Generator()
-	sk := &SecretKey{GID: gid, KAttr: make(map[string]*pairing.G, len(attrNames))}
+	sk := &SecretKey{GID: gid, KAttr: make(map[string]*pairing.G, len(attrNames)), h: h, hGID: gid}
 
 	// Snapshot the secrets under the lock, then run the per-attribute
 	// two-base exponentiations g^α_x · H(GID)^y_x on the engine pool.
@@ -202,6 +207,9 @@ func Merge(keys ...*SecretKey) (*SecretKey, error) {
 		}
 		for q, v := range k.KAttr {
 			out.KAttr[q] = v
+		}
+		if out.h == nil && k.hGID == out.GID {
+			out.h, out.hGID = k.h, k.hGID
 		}
 	}
 	return out, nil
@@ -296,7 +304,7 @@ func EncryptMatrix(sys *System, m *pairing.GT, policy string, matrix *lsss.Matri
 	}
 	_ = engine.Default().Run(l, func(i int) error {
 		pk, ri := rowPKs[i], rs[i]
-		ct.C1[i] = engine.DualExpGT(egg, lambda[i], pk.Egg, ri)
+		ct.C1[i] = egg.Exp(lambda[i]).Mul(pk.Egg.Exp(ri))
 		ct.C2[i] = p.FixedBaseExp(ri)
 		ct.C3[i] = engine.DualExp(pk.GY, ri, g, omega[i])
 		return nil
@@ -320,9 +328,12 @@ func Decrypt(sys *System, ct *Ciphertext, sk *SecretKey) (*pairing.GT, error) {
 		}
 		return nil, err
 	}
-	h, err := sys.HashGID(sk.GID)
-	if err != nil {
-		return nil, err
+	h := sk.h
+	if h == nil || sk.hGID != sk.GID || h.Params() != sys.Params {
+		h, err = sys.HashGID(sk.GID)
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// The two pairings per used row are independent; run each row as an

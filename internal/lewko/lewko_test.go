@@ -139,6 +139,22 @@ func TestCollusionResistance(t *testing.T) {
 	}
 }
 
+// TestDecryptRehashesRenamedKey pins the H(GID) kept on a key: it serves
+// only the GID it was computed for, so a key relabelled to another GID is
+// decrypted with the new H(GID) and fails.
+func TestDecryptRehashesRenamedKey(t *testing.T) {
+	f := newFixture(t, map[string][]string{"med": {"doctor"}})
+	sk := f.keysFor("alice", map[string][]string{"med": {"doctor"}})
+	want, got, err := f.roundTrip("med:doctor", sk)
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("decryption with the kept H(GID) failed: %v", err)
+	}
+	sk.GID = "mallory"
+	if want, got, err := f.roundTrip("med:doctor", sk); err == nil && got.Equal(want) {
+		t.Fatal("relabelled key decrypted with the stale H(GID)")
+	}
+}
+
 func TestThresholdPolicy(t *testing.T) {
 	f := newFixture(t, map[string][]string{
 		"a": {"x"}, "b": {"y"}, "c": {"z"},

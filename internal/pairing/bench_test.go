@@ -15,92 +15,104 @@ func benchParams(b *testing.B) *Params {
 	return Default()
 }
 
-// benchKernels runs fn once per kernel as "montgomery", "projective", and
-// "reference" sub-benchmarks, each on its own Params clone so SetKernel
-// never touches shared state, with allocation reporting on.
-func benchKernels(b *testing.B, fn func(b *testing.B, p *Params)) {
+// benchVsReference runs the kernel and its reference oracle as the
+// "montgomery" and "reference" sub-benchmarks, with allocation reporting on.
+func benchVsReference(b *testing.B, mont, ref func(b *testing.B, p *Params)) {
 	b.Helper()
-	base := benchParams(b)
-	for _, k := range []struct {
-		name   string
-		kernel Kernel
-	}{{"montgomery", KernelMontgomery}, {"projective", KernelProjective}, {"reference", KernelReference}} {
-		q, r, h, gx, gy := base.Export()
-		p, err := NewParams(q, r, h, gx, gy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p.SetKernel(k.kernel)
-		b.Run(k.name, func(b *testing.B) {
+	p := benchParams(b)
+	for _, sub := range []struct {
+		name string
+		fn   func(b *testing.B, p *Params)
+	}{{"montgomery", mont}, {"reference", ref}} {
+		b.Run(sub.name, func(b *testing.B) {
 			b.ReportAllocs()
-			fn(b, p)
+			sub.fn(b, p)
 		})
 	}
 }
 
-// BenchmarkPair measures the full reduced pairing under all three kernels:
-// fixed-width Montgomery, projective big.Int, and the affine/naive
-// reference. The montgomery/projective ratio here is the tentpole speedup
-// figure for this PR; montgomery/reference is the cumulative one.
+// BenchmarkPair measures the full reduced pairing on the Montgomery kernel
+// against the affine/naive reference oracle.
 func BenchmarkPair(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	pairs := func(p *Params) (*G, *G) {
 		ka, _ := p.RandomScalar(rand.Reader)
 		kb, _ := p.RandomScalar(rand.Reader)
-		ga, gb := p.Generator().Exp(ka), p.Generator().Exp(kb)
+		return p.Generator().Exp(ka), p.Generator().Exp(kb)
+	}
+	benchVsReference(b, func(b *testing.B, p *Params) {
+		ga, gb := pairs(p)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p.MustPair(ga, gb)
 		}
-	})
-}
-
-// BenchmarkMiller isolates the Miller loop (no final exponentiation).
-func BenchmarkMiller(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
-		g := p.gen
+	}, func(b *testing.B, p *Params) {
+		ga, gb := pairs(p)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.millerLoop(g, g)
-		}
-	})
-}
-
-// BenchmarkPreparedPair measures pairing against cached line coefficients.
-func BenchmarkPreparedPair(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
-		pre := p.Prepare(p.Generator())
-		k, _ := p.RandomScalar(rand.Reader)
-		q := p.Generator().Exp(k)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pre.Pair(q); err != nil {
+			if _, err := p.PairReference(ga, gb); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkPrepare measures building the line cache: one Montgomery batch
-// inversion (optimized) vs one ModInverse per Miller step (reference).
-func BenchmarkPrepare(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
-		g := p.Generator()
-		b.ResetTimer()
+// BenchmarkMiller isolates the Miller loop (no final exponentiation): the
+// NAF projective loop against the affine binary one.
+func BenchmarkMiller(b *testing.B) {
+	benchVsReference(b, func(b *testing.B, p *Params) {
 		for i := 0; i < b.N; i++ {
-			p.Prepare(g)
+			p.millerMont(p.gen, p.gen)
+		}
+	}, func(b *testing.B, p *Params) {
+		for i := 0; i < b.N; i++ {
+			p.miller(p.gen, p.gen)
 		}
 	})
 }
 
-// BenchmarkGExp measures scalar multiplication in G: Jacobian NAF ladder
-// with per-call scratch vs the affine double-and-add reference.
+// BenchmarkPreparedPair measures pairing against cached line coefficients.
+func BenchmarkPreparedPair(b *testing.B) {
+	p := benchParams(b)
+	pre := p.Prepare(p.Generator())
+	k, _ := p.RandomScalar(rand.Reader)
+	q := p.Generator().Exp(k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pre.Pair(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPrepare measures building the line cache: one projective walk
+// and one batch inversion.
+func BenchmarkPrepare(b *testing.B) {
+	p := benchParams(b)
+	g := p.Generator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Prepare(g)
+	}
+}
+
+// BenchmarkGExp measures scalar multiplication in G: Jacobian NAF ladder vs
+// the affine double-and-add reference.
 func BenchmarkGExp(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	benchVsReference(b, func(b *testing.B, p *Params) {
 		k, _ := p.RandomScalar(rand.Reader)
 		g := p.Generator()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g.Exp(k)
+		}
+	}, func(b *testing.B, p *Params) {
+		k, _ := p.RandomScalar(rand.Reader)
+		g := p.Generator()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.ExpReference(k)
 		}
 	})
 }
@@ -108,23 +120,30 @@ func BenchmarkGExp(b *testing.B) {
 // BenchmarkGTExp measures target-group exponentiation: Lucas ladder vs
 // unitary square-and-multiply.
 func BenchmarkGTExp(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	benchVsReference(b, func(b *testing.B, p *Params) {
 		e := p.GTGenerator()
 		k, _ := p.RandomScalar(rand.Reader)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.Exp(k)
 		}
+	}, func(b *testing.B, p *Params) {
+		e := p.GTGenerator()
+		k, _ := p.RandomScalar(rand.Reader)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.ExpReference(k)
+		}
 	})
 }
 
 func BenchmarkFinalExp(b *testing.B) {
 	p := benchParams(b)
-	f := p.miller(p.gen, p.gen)
+	f := p.millerMont(p.gen, p.gen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.finalExp(f)
+		p.finalExpMont(&f)
 	}
 }
 
@@ -197,9 +216,6 @@ func BenchmarkGMarshalUnmarshal(b *testing.B) {
 func benchFieldOperands(b *testing.B) (p *Params, xb, yb *big.Int, xm, ym fpElement) {
 	b.Helper()
 	p = benchParams(b)
-	if p.fpc == nil {
-		b.Fatal("bench field exceeds fixed Montgomery width")
-	}
 	xb = new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(0xA5A5A5A5), uint(p.Q.BitLen()-40)), p.Q)
 	yb = new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(0x5A5A5A5A), uint(p.Q.BitLen()-48)), p.Q)
 	p.fpc.fromBig(&xm, xb)
@@ -276,9 +292,6 @@ func BenchmarkFp2Mul(b *testing.B) {
 	x := p.GTGenerator().v
 	y := p.GTGenerator().Exp(big.NewInt(7)).v
 	b.Run("montgomery", func(b *testing.B) {
-		if p.fpc == nil {
-			b.Skip("field exceeds fixed Montgomery width")
-		}
 		b.ReportAllocs()
 		var xm, ym, zm fp2m
 		p.fpc.fp2mFromFp2(&xm, x)

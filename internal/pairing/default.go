@@ -8,8 +8,9 @@ import (
 
 // NewParams reconstructs a Params value from its defining integers (all in
 // decimal): base field prime q, group order r, cofactor h, and the affine
-// coordinates of the generator. It validates everything, so it is safe to
-// feed untrusted parameter strings to it.
+// coordinates of the generator. It validates everything, including that q
+// is at most 576 bits wide, so it is safe to feed untrusted parameter
+// strings to it.
 func NewParams(qStr, rStr, hStr, gxStr, gyStr string) (*Params, error) {
 	q, ok1 := new(big.Int).SetString(qStr, 10)
 	r, ok2 := new(big.Int).SetString(rStr, 10)

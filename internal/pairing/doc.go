@@ -5,8 +5,9 @@
 //	E: y² = x³ + x  over F_q,  q ≡ 3 (mod 4),  #E(F_q) = q + 1 = h·r
 //
 // with r a prime of configurable length (160 bits by default) and q a prime
-// of configurable length (512 bits by default). The embedding degree is 2,
-// so the target group G_T lives in F_q² = F_q[i]/(i²+1).
+// of configurable length (512 bits by default, at most 576 bits, the width
+// of the fixed limb arithmetic). The embedding degree is 2, so the target
+// group G_T lives in F_q² = F_q[i]/(i²+1).
 //
 // The pairing is the reduced Tate pairing made symmetric with the distortion
 // map φ(x, y) = (−x, i·y):
@@ -22,7 +23,14 @@
 // One) so that code using this package reads like the paper's formulas, even
 // though G is internally an elliptic-curve group written additively.
 //
-// This implementation favours clarity and uses math/big; it is NOT
-// constant-time and must not be used to protect real data. It exists to
-// reproduce the paper's algorithms and performance shapes.
+// Every operation runs on one kernel: fixed-width Montgomery field
+// arithmetic (fp.go, fp2m.go) under Jacobian curve formulas, the NAF Miller
+// loop and a Lucas final exponentiation (montgomery.go). Elements cross the
+// API as canonical math/big values. The affine, square-and-multiply
+// versions survive only as the reference oracle (PairReference,
+// G.ExpReference, GT.ExpReference) that the tests pin the kernel against.
+//
+// The implementation is NOT constant-time and must not be used to protect
+// real data. It exists to reproduce the paper's algorithms and performance
+// shapes.
 package pairing

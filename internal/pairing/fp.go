@@ -20,8 +20,7 @@ import (
 // The array is sized for the shipped Type-A parameters: the default base
 // field prime is 513 bits (q = 4m·r − 1 with a 160-bit r), which needs nine
 // 64-bit limbs, one more than the nominal "512-bit field" of the paper.
-// Larger generated fields fall back to the big.Int projective kernel (see
-// newFpContext and activeKernel).
+// NewParams and GenerateParams reject fields wider than fpMaxBits.
 //
 // Invariant: limbs at index ≥ n are always zero, so whole-array comparison
 // and copying are valid. Every constructor below establishes the invariant
@@ -30,6 +29,9 @@ import (
 // fpMaxLimbs is the fixed width of fpElement: 9×64 = 576 bits, sized for the
 // 513-bit default prime.
 const fpMaxLimbs = 9
+
+// fpMaxBits is the widest base field prime a Params value may use.
+const fpMaxBits = 64 * fpMaxLimbs
 
 // fpElement is a base-field element in Montgomery form, little-endian limbs.
 type fpElement [fpMaxLimbs]uint64
@@ -54,7 +56,7 @@ type fpContext struct {
 // returns nil when q does not fit the fixed width (or is even, which cannot
 // happen for valid Params but keeps the constructor total).
 func newFpContext(q *big.Int) *fpContext {
-	if q.Sign() <= 0 || q.Bit(0) == 0 || q.BitLen() > 64*fpMaxLimbs {
+	if q.Sign() <= 0 || q.Bit(0) == 0 || q.BitLen() > fpMaxBits {
 		return nil
 	}
 	c := &fpContext{
@@ -279,8 +281,7 @@ const invDivsteps = 62
 //
 // The result is verified with one multiplication; on mismatch (which would
 // indicate a bug, not bad input) the Fermat inversion recomputes it, so the
-// answer is always exact. inv(0) = 0 by convention, which mirrors what the
-// projective kernel's denominator handling expects. z may alias x. No heap
+// answer is always exact. inv(0) = 0 by convention. z may alias x. No heap
 // allocation on any path except the (never-taken) fallback.
 func (c *fpContext) inv(z, x *fpElement) {
 	if c.isZero(x) {

@@ -30,55 +30,25 @@ func FuzzUnmarshalG(f *testing.F) {
 	})
 }
 
-// FuzzPairKernels cross-checks the optimized pairing kernel (projective NAF
-// Miller loop, Lucas final exponentiation, batch-inverted preparation)
-// against the retained affine/naive reference on random subgroup points
-// g^a, g^b, plus GT and G exponentiation by a third scalar. The scalars are
-// arbitrary uint64s — including 0 and values ≥ R — so normalization is
-// fuzzed along with the kernels. Chain independence of the reduced Tate
-// pairing makes bit-identical output the correct expectation, not just
-// equality up to subgroup structure.
-func FuzzPairKernels(f *testing.F) {
+// FuzzPairOracle pins every public pairing entry point (checkOracle: Pair,
+// Prepare(a).Pair(b), PairProd, G.Exp, FixedBaseExp, PrepareExp(a).Exp,
+// GT.Exp and UnmarshalG(Marshal)) byte for byte against the reference
+// oracle on random subgroup points g^a, g^b and a third scalar k. The
+// scalars are arbitrary uint64s — including 0 and values ≥ R — so
+// normalization is fuzzed along with the kernel. Chain independence of the
+// reduced Tate pairing makes bit-identical output the correct expectation,
+// not just equality up to subgroup structure.
+func FuzzPairOracle(f *testing.F) {
 	p := Test()
 	f.Add(uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(1), uint64(1), uint64(1))
 	f.Add(uint64(2), uint64(3), uint64(5))
 	f.Add(^uint64(0), ^uint64(0)>>1, uint64(0xDEADBEEF))
-	g := p.Generator()
 	f.Fuzz(func(t *testing.T, a64, b64, k64 uint64) {
 		a := new(big.Int).SetUint64(a64)
 		b := new(big.Int).SetUint64(b64)
 		k := new(big.Int).SetUint64(k64)
-		ga, gb := g.Exp(a), g.Exp(b)
-		if !ga.Equal(g.ExpReference(a)) || !gb.Equal(g.ExpReference(b)) {
-			t.Fatal("Jacobian NAF scalar multiplication disagrees with affine reference")
-		}
-		opt := p.MustPair(ga, gb)
-		ref, err := p.PairReference(ga, gb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(opt.Marshal(), ref.Marshal()) {
-			t.Fatal("projective Miller loop disagrees with affine reference")
-		}
-		prepMont, err := p.Prepare(ga).Pair(gb) // default kernel: Montgomery cache
-		if err != nil {
-			t.Fatal(err)
-		}
-		prepProj, err := p.prepareProj(ga).Pair(gb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prepAff, err := p.prepareAffine(ga).Pair(gb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !prepMont.Equal(opt) || !prepProj.Equal(opt) || !prepAff.Equal(opt) {
-			t.Fatal("prepared pairing disagrees with Params.Pair")
-		}
-		if !opt.Exp(k).Equal(opt.ExpReference(k)) {
-			t.Fatal("Lucas GT exponentiation disagrees with square-and-multiply")
-		}
+		checkOracle(t, p, a, b, k)
 	})
 }
 

@@ -9,23 +9,9 @@ import (
 	"testing/quick"
 )
 
-// referenceClone builds an independent Params value with the same constants
-// as p but running the retained reference kernel, the way benchmarks and
-// whole-scheme before/after comparisons do.
-func referenceClone(t *testing.T, p *Params) *Params {
-	t.Helper()
-	q, r, h, gx, gy := p.Export()
-	ref, err := NewParams(q, r, h, gx, gy)
-	if err != nil {
-		t.Fatalf("clone params: %v", err)
-	}
-	ref.SetKernel(KernelReference)
-	return ref
-}
-
-// TestPairMatchesReference pins the optimized kernel (projective NAF Miller
-// loop + Lucas final exponentiation) bit-identical to the retained affine
-// reference on random subgroup points.
+// TestPairMatchesReference pins the kernel (projective NAF Miller loop +
+// Lucas final exponentiation) bit-identical to the affine reference on
+// random subgroup points.
 func TestPairMatchesReference(t *testing.T) {
 	p := Test()
 	g := p.Generator()
@@ -45,127 +31,50 @@ func TestPairMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPairKernelDispatch checks that a reference-kernel Params clone
-// produces the same pairing, exponentiation, and preparation results as the
-// optimized shared parameters, byte for byte.
-func TestPairKernelDispatch(t *testing.T) {
-	p := Test()
-	ref := referenceClone(t, p)
-	if ref.Kernel() != KernelReference || p.Kernel() != KernelOptimized {
-		t.Fatal("kernel selection not reflected by Kernel()")
-	}
-	a, b := big.NewInt(98765), big.NewInt(43210)
-	for name, pr := range map[string]*Params{"optimized": p, "reference": ref} {
-		ga, gb := pr.Generator().Exp(a), pr.Generator().Exp(b)
-		e := pr.MustPair(ga, gb)
-		pp, err := pr.Prepare(ga).Pair(gb)
-		if err != nil {
-			t.Fatalf("%s prepared pair: %v", name, err)
-		}
-		if !e.Equal(pp) {
-			t.Fatalf("%s: prepared pair disagrees with Pair", name)
-		}
-		prod, err := pr.PairProd([]*G{ga, gb}, []*G{gb, ga})
-		if err != nil {
-			t.Fatalf("%s PairProd: %v", name, err)
-		}
-		if !prod.Equal(e.Mul(e)) {
-			t.Fatalf("%s: PairProd ≠ e(a,b)²", name)
-		}
-	}
-	// Cross-kernel: marshalled results must agree.
-	eOpt := p.MustPair(p.Generator().Exp(a), p.Generator().Exp(b))
-	eRef := ref.MustPair(ref.Generator().Exp(a), ref.Generator().Exp(b))
-	if !bytes.Equal(eOpt.Marshal(), eRef.Marshal()) {
-		t.Fatal("optimized and reference kernels disagree across Params clones")
-	}
-	gOpt := p.Generator().Exp(a).Mul(p.Generator().Exp(b).Inv())
-	gRef := ref.Generator().Exp(a).Mul(ref.Generator().Exp(b).Inv())
-	if !bytes.Equal(gOpt.Marshal(), gRef.Marshal()) {
-		t.Fatal("G arithmetic disagrees across kernels")
-	}
+// limbLucas runs the fixed-width Lucas ladder on a big.Int-backed unitary
+// element and converts the result back.
+func limbLucas(p *Params, x fp2, k *big.Int) fp2 {
+	c := p.fpc
+	var xm, zm fp2m
+	c.fp2mFromFp2(&xm, x)
+	c.fp2mExpUnitaryLucas(&zm, &xm, k)
+	return c.fp2mToFp2(&zm)
 }
 
-// TestPreparedProjMatchesAffinePrepare pins the batch-inverted projective
-// preparation against the affine reference preparation on the same Params.
-func TestPreparedProjMatchesAffinePrepare(t *testing.T) {
-	p := Test()
-	g := p.Generator()
-	for i := 0; i < 10; i++ {
-		a, _ := p.RandomScalar(rand.Reader)
-		b, _ := p.RandomScalar(rand.Reader)
-		ga, gb := g.Exp(a), g.Exp(b)
-		proj := p.prepareProj(ga)
-		aff := p.prepareAffine(ga)
-		e1, err1 := proj.Pair(gb)
-		e2, err2 := aff.Pair(gb)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("prepared pair: %v / %v", err1, err2)
-		}
-		if !e1.Equal(e2) {
-			t.Fatalf("iteration %d: projective and affine preparations disagree", i)
-		}
-		if !e1.Equal(p.MustPair(ga, gb)) {
-			t.Fatalf("iteration %d: prepared pair ≠ Pair", i)
-		}
-	}
-}
-
-// TestLucasMatchesUnitaryExp pins the Lucas ladder bit-identical to the
-// square-and-multiply unitary reference for random unitary elements and a
-// gauntlet of exponents, including the cofactor-sized and negative ones the
-// final exponentiation and GT.Exp feed it.
+// TestLucasMatchesUnitaryExp pins the two consumers of the Lucas ladder
+// against their square-and-multiply references: the final exponentiation
+// (a cofactor-sized exponent on unitary values outside the order-R
+// subgroup) on raw Miller values, and GT.Exp on random subgroup elements.
 func TestLucasMatchesUnitaryExp(t *testing.T) {
 	p := Test()
-	gt := p.GTGenerator()
-	exps := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(2),
-		big.NewInt(3),
-		big.NewInt(-1),
-		big.NewInt(-7),
-		new(big.Int).Sub(p.R, one),
-		new(big.Int).Set(p.R),
-		new(big.Int).Add(p.R, one),
-		new(big.Int).Set(p.H),
-		new(big.Int).Neg(p.H),
-	}
+	c := p.fpc
+	g := p.Generator()
 	for i := 0; i < 6; i++ {
-		k, _ := p.RandomScalar(rand.Reader)
-		exps = append(exps, k)
-	}
-	bases := []fp2{gt.v}
-	for i := 0; i < 4; i++ {
-		k, _ := p.RandomScalar(rand.Reader)
-		bases = append(bases, gt.Exp(k).v)
-	}
-	// A unitary element straight off the Frobenius map f̄·f⁻¹, like finalExp
-	// produces (not necessarily in the order-R subgroup).
-	f := fp2{a: big.NewInt(123456789), b: big.NewInt(987654321)}
-	bases = append(bases, p.fp2Mul(p.fp2Conj(f), p.fp2Inv(f)))
-	for bi, x := range bases {
-		for ei, k := range exps {
-			got := p.fp2ExpUnitaryLucas(x, k)
-			want := p.fp2ExpUnitary(x, k)
-			if !got.equal(want) {
-				t.Fatalf("base %d exp %d (%v): lucas ≠ square-and-multiply", bi, ei, k)
-			}
+		a, _ := p.RandomScalar(rand.Reader)
+		b, _ := p.RandomScalar(rand.Reader)
+		f := p.millerMont(g.Exp(a).pt, g.Exp(b).pt)
+		got := p.finalExpMont(&f)
+		if !c.fp2mToFp2(&got).equal(p.finalExpReference(c.fp2mToFp2(&f))) {
+			t.Fatalf("iteration %d: final exponentiation ≠ square-and-multiply reference", i)
+		}
+		e := p.GTGenerator().Exp(a)
+		if !bytes.Equal(e.Exp(b).Marshal(), e.ExpReference(b).Marshal()) {
+			t.Fatalf("iteration %d: GT.Exp ≠ GT.ExpReference", i)
 		}
 	}
 }
 
-// TestLucasRealBases covers the b = 0 special case: the only unitary
-// elements with zero imaginary part are ±1.
+// TestLucasRealBases covers the b = 0 special case of the limb ladder: the
+// only unitary elements with zero imaginary part are ±1.
 func TestLucasRealBases(t *testing.T) {
 	p := Test()
 	onePos := fp2{a: big.NewInt(1), b: new(big.Int)}
 	oneNeg := fp2{a: new(big.Int).Sub(p.Q, one), b: new(big.Int)}
-	for _, k := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(5), new(big.Int).Set(p.H)} {
-		if got := p.fp2ExpUnitaryLucas(onePos, k); !got.isOne() {
+	for _, k := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(5), big.NewInt(-3), new(big.Int).Set(p.H)} {
+		if got := limbLucas(p, onePos, k); !got.isOne() {
 			t.Fatalf("1^%v ≠ 1", k)
 		}
-		got := p.fp2ExpUnitaryLucas(oneNeg, k)
+		got := limbLucas(p, oneNeg, k)
 		want := p.fp2ExpUnitary(oneNeg, k)
 		if !got.equal(want) {
 			t.Fatalf("(−1)^%v: lucas ≠ reference", k)
@@ -189,8 +98,8 @@ func TestFp2ExpNegativeExponents(t *testing.T) {
 		if got := p.fp2ExpUnitary(x, k); !got.equal(wantUnitary) {
 			t.Fatalf("fp2ExpUnitary(x, %v) ≠ conj(fp2ExpUnitary(x, %v))", k, pos)
 		}
-		if got := p.fp2ExpUnitaryLucas(x, k); !got.equal(wantUnitary) {
-			t.Fatalf("fp2ExpUnitaryLucas(x, %v) ≠ conj(...)", k)
+		if got := limbLucas(p, x, k); !got.equal(wantUnitary) {
+			t.Fatalf("fp2mExpUnitaryLucas(x, %v) ≠ conj(...)", k)
 		}
 	}
 }
@@ -274,29 +183,39 @@ func TestNAFDigits(t *testing.T) {
 	}
 }
 
-// TestBatchInvert checks Montgomery batch inversion against ModInverse.
+// TestBatchInvert checks the batch-inverted normalization of Jacobian
+// points, which builds every comb, against normalizing each point on its
+// own.
 func TestBatchInvert(t *testing.T) {
 	p := Test()
-	var xs, want []*big.Int
-	for i := 1; i <= 37; i++ {
-		x := new(big.Int).Mod(big.NewInt(int64(i*i*7919+3)), p.Q)
-		xs = append(xs, x)
-		want = append(want, new(big.Int).ModInverse(new(big.Int).Set(x), p.Q))
+	c := p.fpc
+	g := c.montFromPoint(p.gen)
+	js := make([]montJac, 37)
+	acc := montJac{x: g.x, y: g.y, z: c.one}
+	for i := range js {
+		js[i] = acc
+		c.montJacDouble(&acc)
+		c.montJacAddAffine(&acc, &g)
 	}
-	p.batchInvert(xs)
-	for i := range xs {
-		if xs[i].Cmp(want[i]) != 0 {
-			t.Fatalf("element %d: batch inverse ≠ ModInverse", i)
+	out := make([]montAffine, len(js))
+	c.montJacBatchToAffine(js, out)
+	for i := range js {
+		want := c.montJacToPoint(&js[i])
+		got := point{x: c.toBig(&out[i].x), y: c.toBig(&out[i].y)}
+		if !got.equal(want) {
+			t.Fatalf("point %d: batch normalization ≠ single normalization", i)
 		}
 	}
-	p.batchInvert(nil) // must not panic
+	c.montJacBatchToAffine(nil, nil) // must not panic
 }
 
-// TestKernelSharedStateConcurrency hammers one shared *Params and one
-// shared *PreparedG from many goroutines. The per-call scratch buffers must
-// keep all shared state read-only; the -race runs in scripts/check.sh turn
-// any aliasing bug into a hard failure, and the determinism check catches
-// silent corruption even without the race detector.
+// TestKernelSharedStateConcurrency hammers one shared *Params, one shared
+// *PreparedG, one shared *ExpTable and the lazily built generator comb from
+// many goroutines. The kernel keeps its temporaries on the stack, so all
+// shared state must stay read-only after construction; the -race runs in
+// scripts/check.sh turn any aliasing bug into a hard failure, and the
+// determinism check catches silent corruption even without the race
+// detector.
 func TestKernelSharedStateConcurrency(t *testing.T) {
 	p := Test()
 	g := p.Generator()

@@ -2,213 +2,199 @@ package pairing
 
 import (
 	"bytes"
+	"crypto/rand"
 	"math/big"
 	"testing"
+	"testing/quick"
 )
 
-// kernelCloneT builds an independent Params clone running kernel k, the way
-// the benchmarks and BENCH_pairing.json comparisons do.
-func kernelCloneT(t *testing.T, p *Params, k Kernel) *Params {
+// checkOracle pins every public pairing entry point byte for byte against
+// the reference oracle on g^a, g^b and a third scalar k: Pair, the prepared
+// walk and PairProd against PairReference, G.Exp and both comb paths
+// against G.ExpReference, GT.Exp against GT.ExpReference, and the G
+// decoder on the encoding it produced. The scalars may be zero, negative or
+// ≥ R, so scalar normalization is checked along the way.
+func checkOracle(t *testing.T, p *Params, a, b, k *big.Int) {
 	t.Helper()
-	q, r, h, gx, gy := p.Export()
-	cl, err := NewParams(q, r, h, gx, gy)
-	if err != nil {
-		t.Fatalf("clone params: %v", err)
-	}
-	cl.SetKernel(k)
-	return cl
-}
-
-// allKernels are the three selectable kernels in dispatch order.
-var allKernels = []struct {
-	name   string
-	kernel Kernel
-}{
-	{"montgomery", KernelMontgomery},
-	{"projective", KernelProjective},
-	{"reference", KernelReference},
-}
-
-// TestPairMatchesAllKernels pins reduced pairings, prepared-pairing walks,
-// PairProd, and G/GT exponentiation byte-identical across the Montgomery,
-// big.Int-projective, and affine-reference kernels on independent clones.
-func TestPairMatchesAllKernels(t *testing.T) {
-	base := Test()
-	scalars := [][2]int64{{98765, 43210}, {1, 1}, {2, 3}, {7919, 7919}}
-	for _, sc := range scalars {
-		a, b := big.NewInt(sc[0]), big.NewInt(sc[1])
-		k := new(big.Int).Mul(a, b)
-		var pairB, prepB, prodB, gExpB, gtExpB []byte
-		for i, kc := range allKernels {
-			p := kernelCloneT(t, base, kc.kernel)
-			if p.Kernel() != kc.kernel || p.activeKernel() != kc.kernel {
-				t.Fatalf("%s: kernel selection not reflected", kc.name)
-			}
-			ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
-			e := p.MustPair(ga, gb)
-			pp, err := p.Prepare(ga).Pair(gb)
-			if err != nil {
-				t.Fatalf("%s prepared pair: %v", kc.name, err)
-			}
-			prod, err := p.PairProd([]*G{ga, gb}, []*G{gb, ga})
-			if err != nil {
-				t.Fatalf("%s PairProd: %v", kc.name, err)
-			}
-			gExp := ga.Exp(k)
-			gtExp := e.Exp(k)
-			if i == 0 {
-				pairB, prepB, prodB = e.Marshal(), pp.Marshal(), prod.Marshal()
-				gExpB, gtExpB = gExp.Marshal(), gtExp.Marshal()
-				continue
-			}
-			if !bytes.Equal(e.Marshal(), pairB) {
-				t.Fatalf("%s: Pair differs from montgomery (a=%v b=%v)", kc.name, a, b)
-			}
-			if !bytes.Equal(pp.Marshal(), prepB) {
-				t.Fatalf("%s: prepared Pair differs from montgomery", kc.name)
-			}
-			if !bytes.Equal(prod.Marshal(), prodB) {
-				t.Fatalf("%s: PairProd differs from montgomery", kc.name)
-			}
-			if !bytes.Equal(gExp.Marshal(), gExpB) {
-				t.Fatalf("%s: G.Exp differs from montgomery", kc.name)
-			}
-			if !bytes.Equal(gtExp.Marshal(), gtExpB) {
-				t.Fatalf("%s: GT.Exp differs from montgomery", kc.name)
-			}
-		}
-	}
-}
-
-// TestPairMatchesAllKernelsPaperScale repeats the cross-kernel pin once at
-// the 513-bit default field, where the Montgomery context runs nine limbs.
-func TestPairMatchesAllKernelsPaperScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale kernels in -short mode")
-	}
-	base := Default()
-	a, b := big.NewInt(31337), big.NewInt(271828)
-	var want []byte
-	for i, kc := range allKernels {
-		p := kernelCloneT(t, base, kc.kernel)
-		ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
-		e := p.MustPair(ga, gb)
-		pp, err := p.Prepare(ga).Pair(gb)
-		if err != nil {
-			t.Fatalf("%s prepared pair: %v", kc.name, err)
-		}
-		if !pp.Equal(e) {
-			t.Fatalf("%s: prepared pair ≠ Pair at paper scale", kc.name)
-		}
-		if i == 0 {
-			want = e.Marshal()
-		} else if !bytes.Equal(e.Marshal(), want) {
-			t.Fatalf("%s: pairing differs from montgomery at paper scale", kc.name)
-		}
-	}
-}
-
-// TestMillerMontMatchesProjective pins the raw (unreduced) Miller values of
-// the Montgomery and projective kernels limb-for-limb: the two walks use
-// the same NAF chain and the same line scalings, so even the non-invariant
-// pre-final-exponentiation values must agree exactly.
-func TestMillerMontMatchesProjective(t *testing.T) {
-	p := Test()
 	g := p.Generator()
-	for i := int64(1); i < 12; i++ {
-		ga := g.Exp(big.NewInt(i * 104729))
-		gb := g.Exp(big.NewInt(i*31 + 5))
-		raw := p.millerMont(ga.pt, gb.pt)
-		got := p.fpc.fp2mToFp2(&raw)
-		want := p.millerProj(ga.pt, gb.pt)
-		if !got.equal(want) {
-			t.Fatalf("iteration %d: raw Miller values diverge", i)
+	ga, gb := g.ExpReference(a), g.ExpReference(b)
+	same := func(what string, got, want []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s disagrees with the reference oracle (a=%v b=%v k=%v)", what, a, b, k)
 		}
 	}
-}
-
-// TestMontFallbackOversizedField simulates a parameter set whose prime
-// exceeds the fixed limb width (fpc == nil): the Montgomery kernel must
-// demote to the projective big.Int chain transparently and still agree with
-// the true Montgomery results.
-func TestMontFallbackOversizedField(t *testing.T) {
-	base := Test()
-	p := kernelCloneT(t, base, KernelMontgomery)
-	p.fpc = nil // what newFpContext returns for >576-bit primes
-	if p.Kernel() != KernelMontgomery {
-		t.Fatal("requested kernel should still read back as Montgomery")
+	same("G.Exp", g.Exp(a).Marshal(), ga.Marshal())
+	same("FixedBaseExp", p.FixedBaseExp(b).Marshal(), gb.Marshal())
+	same("ExpTable.Exp", p.PrepareExp(ga).Exp(k).Marshal(), ga.ExpReference(k).Marshal())
+	ref, err := p.PairReference(ga, gb)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.activeKernel() != KernelProjective {
-		t.Fatal("fallback did not demote to the projective kernel")
-	}
-	a, b := big.NewInt(12345), big.NewInt(67890)
-	ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
-	e := p.MustPair(ga, gb)
+	same("Pair", p.MustPair(ga, gb).Marshal(), ref.Marshal())
 	pp, err := p.Prepare(ga).Pair(gb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantP := base.Generator().Exp(a)
-	want := base.MustPair(wantP, base.Generator().Exp(b))
-	if !bytes.Equal(e.Marshal(), want.Marshal()) || !bytes.Equal(pp.Marshal(), want.Marshal()) {
-		t.Fatal("fallback pairing differs from the Montgomery kernel")
+	same("PreparedG.Pair", pp.Marshal(), ref.Marshal())
+	refBA, err := p.PairReference(gb, ga)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(e.Exp(a).Marshal(), want.Exp(a).Marshal()) {
-		t.Fatal("fallback GT.Exp differs")
+	prod, err := p.PairProd([]*G{ga, gb}, []*G{gb, ga})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.UnmarshalGT(e.Marshal()); err != nil {
-		t.Fatalf("fallback UnmarshalGT: %v", err)
+	same("PairProd", prod.Marshal(), ref.Mul(refBA).Marshal())
+	same("GT.Exp", ref.Exp(k).Marshal(), ref.ExpReference(k).Marshal())
+	dec, err := p.UnmarshalG(ga.Marshal())
+	if err != nil {
+		t.Fatal(err)
 	}
+	same("UnmarshalG", dec.Marshal(), ga.Marshal())
+}
+
+// TestPairMatchesAllKernels pins the Montgomery kernel against the
+// reference kernel (the oracle) on a spread of scalars at test scale.
+func TestPairMatchesAllKernels(t *testing.T) {
+	p := Test()
+	for _, sc := range [][3]int64{{98765, 43210, 7}, {1, 1, 1}, {2, 3, -5}, {7919, 7919, 0}, {0, 4, 9}} {
+		checkOracle(t, p, big.NewInt(sc[0]), big.NewInt(sc[1]), big.NewInt(sc[2]))
+	}
+	checkOracle(t, p, new(big.Int).Sub(p.R, one), new(big.Int).Add(p.R, two), new(big.Int).Set(p.H))
+}
+
+// TestPairMatchesAllKernelsPaperScale repeats the oracle pin at the 513-bit
+// default field, where the Montgomery context runs nine limbs.
+func TestPairMatchesAllKernelsPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale reference oracle in -short mode")
+	}
+	p := Default()
+	k, err := p.RandomScalar(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, p, big.NewInt(31337), big.NewInt(271828), k)
 }
 
 // TestSerializationByteIdenticalAcrossKernels is the wire-format guard: the
-// bytes G.Marshal and GT.Marshal emit, and the elements UnmarshalG /
-// UnmarshalGT accept, are identical whichever kernel produced them — the
-// Montgomery↔canonical conversion at the boundary is exact.
+// bytes G.Marshal and GT.Marshal emit for kernel results equal those of the
+// reference oracle, and UnmarshalG / UnmarshalGT round-trip them exactly —
+// the Montgomery↔canonical conversion at the boundary is exact.
 func TestSerializationByteIdenticalAcrossKernels(t *testing.T) {
-	base := Test()
-	clones := make(map[string]*Params, len(allKernels))
-	for _, kc := range allKernels {
-		clones[kc.name] = kernelCloneT(t, base, kc.kernel)
-	}
+	p := Test()
 	for i := int64(0); i < 16; i++ {
 		k := new(big.Int).Mul(big.NewInt(i), big.NewInt(999983))
-		var gBytes, gtBytes []byte
-		for _, kc := range allKernels {
-			p := clones[kc.name]
-			gB := p.Generator().Exp(k).Marshal()
-			gtB := p.GTGenerator().Exp(k).Marshal()
-			if kc.kernel == KernelMontgomery {
-				gBytes, gtBytes = gB, gtB
-				continue
-			}
-			if !bytes.Equal(gB, gBytes) {
-				t.Fatalf("k=%v: %s G bytes differ from montgomery", k, kc.name)
-			}
-			if !bytes.Equal(gtB, gtBytes) {
-				t.Fatalf("k=%v: %s GT bytes differ from montgomery", k, kc.name)
-			}
+		gBytes := p.Generator().Exp(k).Marshal()
+		gtBytes := p.GTGenerator().Exp(k).Marshal()
+		if !bytes.Equal(gBytes, p.Generator().ExpReference(k).Marshal()) {
+			t.Fatalf("k=%v: G bytes differ from the reference", k)
 		}
-		// Round trips decode to equal elements under every kernel.
-		for _, kc := range allKernels {
-			p := clones[kc.name]
-			g, err := p.UnmarshalG(gBytes)
+		if !bytes.Equal(gtBytes, p.GTGenerator().ExpReference(k).Marshal()) {
+			t.Fatalf("k=%v: GT bytes differ from the reference", k)
+		}
+		g, err := p.UnmarshalG(gBytes)
+		if err != nil {
+			t.Fatalf("k=%v: UnmarshalG: %v", k, err)
+		}
+		if !bytes.Equal(g.Marshal(), gBytes) {
+			t.Fatalf("k=%v: G round trip drifted", k)
+		}
+		if i != 0 { // zero GT exponent marshals to 1, still valid
+			gt, err := p.UnmarshalGT(gtBytes)
 			if err != nil {
-				t.Fatalf("k=%v: %s UnmarshalG: %v", k, kc.name, err)
+				t.Fatalf("k=%v: UnmarshalGT: %v", k, err)
 			}
-			if !bytes.Equal(g.Marshal(), gBytes) {
-				t.Fatalf("k=%v: %s G round trip drifted", k, kc.name)
-			}
-			if i != 0 { // zero GT exponent marshals to 1, still valid
-				gt, err := p.UnmarshalGT(gtBytes)
-				if err != nil {
-					t.Fatalf("k=%v: %s UnmarshalGT: %v", k, kc.name, err)
-				}
-				if !bytes.Equal(gt.Marshal(), gtBytes) {
-					t.Fatalf("k=%v: %s GT round trip drifted", k, kc.name)
-				}
+			if !bytes.Equal(gt.Marshal(), gtBytes) {
+				t.Fatalf("k=%v: GT round trip drifted", k)
 			}
 		}
+	}
+}
+
+// TestJacobianMatchesAffineScalarMult pins the Montgomery NAF ladder
+// against the affine double-and-add oracle on raw (unreduced) scalars.
+func TestJacobianMatchesAffineScalarMult(t *testing.T) {
+	p := Test()
+	g := p.gen
+	f := func(k64 uint64) bool {
+		k := new(big.Int).SetUint64(k64)
+		return p.mulScalarMont(g, k).equal(p.mulScalarAffine(g, k))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestJacobianEdgeCases(t *testing.T) {
+	p := Test()
+	g := p.gen
+	cases := []*big.Int{
+		new(big.Int),                         // 0 → ∞
+		big.NewInt(1),                        // 1 → g
+		big.NewInt(2),                        // doubling only
+		big.NewInt(3),                        // double + add
+		new(big.Int).Sub(p.R, big.NewInt(1)), // r−1 → −g
+		new(big.Int).Set(p.R),                // r → ∞
+		new(big.Int).Add(p.R, big.NewInt(1)), // r+1 → g
+		new(big.Int).Set(p.H),                // the cofactor (raw, > r)
+	}
+	for _, k := range cases {
+		want := p.mulScalarAffine(g, k)
+		got := p.mulScalarMont(g, k)
+		if !got.equal(want) {
+			t.Fatalf("k=%v: jacobian %v ≠ affine %v", k, got, want)
+		}
+	}
+	// Infinity base.
+	if !p.mulScalarMont(infinity(), big.NewInt(7)).inf {
+		t.Fatal("7·∞ ≠ ∞")
+	}
+	// Two-torsion base: (0,0) doubles to ∞.
+	twoTor := point{x: new(big.Int), y: new(big.Int)}
+	if !p.mulScalarMont(twoTor, big.NewInt(2)).inf {
+		t.Fatal("2·(0,0) ≠ ∞ in jacobian path")
+	}
+	if !p.mulScalarMont(twoTor, big.NewInt(3)).equal(twoTor) {
+		t.Fatal("3·(0,0) ≠ (0,0) in jacobian path")
+	}
+}
+
+func TestJacAddAffineOppositePoints(t *testing.T) {
+	p := Test()
+	c := p.fpc
+	g := c.montFromPoint(p.gen)
+	negG := c.montFromPoint(p.neg(p.gen))
+	j := montJac{x: g.x, y: g.y, z: c.one}
+	c.montJacAddAffine(&j, &negG)
+	if !c.montJacIsInf(&j) {
+		t.Fatal("g + (−g) ≠ ∞")
+	}
+	// Same point through mixed addition must fall back to doubling.
+	j = montJac{x: g.x, y: g.y, z: c.one}
+	c.montJacAddAffine(&j, &g)
+	if !c.montJacToPoint(&j).equal(p.double(p.gen)) {
+		t.Fatal("mixed add of equal points ≠ doubling")
+	}
+}
+
+func TestJacRoundTrip(t *testing.T) {
+	p := Test()
+	c := p.fpc
+	f := func(k64 uint64) bool {
+		pt := p.mulScalarAffine(p.gen, new(big.Int).SetUint64(k64))
+		if pt.inf {
+			return true
+		}
+		m := c.montFromPoint(pt)
+		return c.montJacToPoint(&montJac{x: m.x, y: m.y, z: c.one}).equal(pt)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+	if !c.montJacToPoint(&montJac{}).inf {
+		t.Fatal("∞ round trip failed")
 	}
 }
 

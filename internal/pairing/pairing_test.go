@@ -2,7 +2,10 @@ package pairing
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -204,6 +207,38 @@ func TestNewParamsRejectsBadInput(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := NewParams(tc.q, tc.r, tc.h, tc.gx, tc.gy); err == nil {
 				t.Fatal("NewParams accepted invalid input")
+			}
+		})
+	}
+}
+
+// TestOversizedFieldRejected pins the 576-bit limit of the fixed-width
+// field arithmetic: NewParams and GenerateParams refuse a wider q with
+// ErrInvalidParams, before any primality test or prime search.
+func TestOversizedFieldRejected(t *testing.T) {
+	limit := strconv.Itoa(fpMaxBits) + "-bit"
+	// 2^bits − 1 passes no other check, so only the width check can fire
+	// before the (skipped) primality tests.
+	wide := func(bits uint) string {
+		return new(big.Int).Sub(new(big.Int).Lsh(one, bits), one).String()
+	}
+	cases := []struct {
+		name string
+		mk   func() (*Params, error)
+	}{
+		{"NewParams 577-bit q", func() (*Params, error) { return NewParams(wide(577), "7", "1", "1", "1") }},
+		{"NewParams 640-bit q", func() (*Params, error) { return NewParams(wide(640), "7", "1", "1", "1") }},
+		{"GenerateParams 577-bit q", func() (*Params, error) { return GenerateParams(160, 577, rand.Reader) }},
+		{"GenerateParams 640-bit q", func() (*Params, error) { return GenerateParams(160, 640, rand.Reader) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.mk()
+			if p != nil || !errors.Is(err, ErrInvalidParams) {
+				t.Fatalf("got (%v, %v), want ErrInvalidParams", p, err)
+			}
+			if !strings.Contains(err.Error(), limit) {
+				t.Fatalf("error %q does not name the %s limit", err, limit)
 			}
 		})
 	}

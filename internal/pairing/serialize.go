@@ -112,18 +112,14 @@ func (p *Params) UnmarshalGT(data []byte) (*GT, error) {
 	return &GT{p: p, v: v}, nil
 }
 
-// gtSubgroupCheck reports v^R = 1. The Montgomery kernel runs the
-// exponentiation on fixed-width field elements; the predicate is identical
-// across kernels.
+// gtSubgroupCheck reports v^R = 1, exponentiating on fixed-width field
+// elements.
 func (p *Params) gtSubgroupCheck(v fp2) bool {
-	if p.activeKernel() == KernelMontgomery {
-		c := p.fpc
-		var m fp2m
-		c.fp2mFromFp2(&m, v)
-		c.fp2mExp(&m, &m, p.R)
-		return c.fp2mIsOne(&m)
-	}
-	return p.fp2Exp(v, p.R).isOne()
+	c := p.fpc
+	var m fp2m
+	c.fp2mFromFp2(&m, v)
+	c.fp2mExp(&m, &m, p.R)
+	return c.fp2mIsOne(&m)
 }
 
 // MarshalScalar encodes an exponent as a fixed-width big-endian integer.

@@ -36,13 +36,15 @@ echo "== histogram-exposition lint: /metrics le-buckets well formed"
 go test -count=1 -run 'TestPrometheusHistogram' ./internal/cloud/
 echo "== go test -race ./internal/pairing"
 go test -race -count=1 ./internal/pairing
-echo "== table/comb differential race gate: all kernels through FixedBaseExp/ExpTable"
+echo "== table/comb differential race gate: FixedBaseExp/ExpTable vs the reference oracle"
 go test -race -count=2 -run 'TestTableExp|TestFixedBaseExp|TestPrepareExpMatchesExp|TestScalarNormalization' ./internal/pairing
 go test -race -count=2 -run 'TestExpCache' ./internal/engine
 echo "== alloc pins: comb evaluation + field primitives (race off: AllocsPerRun)"
 go test -count=1 -run 'TestCombExpMontAllocs|TestHotPathZeroBigIntAllocs' ./internal/pairing
-echo "== bench smoke: pairing kernels"
+echo "== bench smoke: pairing kernel vs reference oracle"
 go test -run=NoTests -bench=Pair -benchtime=1x ./internal/pairing
+echo "== fuzz smoke: every public pairing operation vs the reference oracle"
+go test -run=NoTests -fuzz=FuzzPairOracle -fuzztime=5s ./internal/pairing
 echo "== fuzz smoke: Montgomery field vs math/big"
 go test -run=NoTests -fuzz=FuzzFpMontgomery -fuzztime=5s ./internal/pairing
 echo "== fuzz smoke: Lehmer inversion vs Fermat and ModInverse"
