@@ -13,7 +13,6 @@
 //	maacs-server -addr 127.0.0.1:7744 -batch-window 32       # streaming window
 //	maacs-server -batch-window 32 -batch-window-target 50ms  # adaptive windows
 //	maacs-server -store file -data-dir /var/lib/maacs        # durable records
-//	maacs-server -store file -data-dir /var/lib/maacs -shards 8
 //	maacs-server -response-cache-bytes 134217728             # read-path cache cap
 //	maacs-server -pprof-addr 127.0.0.1:6060                  # profiling endpoints
 //
@@ -29,17 +28,13 @@
 //	      the total WAL size that wakes the background compactor (both
 //	      default to the engine's built-ins: 1 MiB and 4 MiB)
 //
-// -shards N > 1 stripes either backend per data owner (hash of the owner ID
-// picks one of N shards, each with its own lock — and for the file backend
-// its own WAL in -data-dir/shard-NNN), so one owner's re-encryption commit
-// never blocks another owner's downloads. On SIGINT the server stops
-// listening and closes the store, flushing the WAL before exit.
-// GET /healthz reports the backend, shard count, WAL size and records
+// On SIGINT the server stops listening and closes the store, flushing the
+// WAL before exit. GET /healthz reports the backend, WAL size and records
 // loaded; RPC clients get the same via CloudServer.Health.
 //
 // The HTTP gateway additionally serves POST /owners/{id}/reencrypt/batch
 // (many update-info sets streamed through bounded engine runs — the window
-// caps how many fuse into one run, so huge batches never pin a shard
+// caps how many fuse into one run, so huge batches never pin the store
 // lock), GET /metrics (Prometheus text exposition of the cumulative and
 // per-owner counters; ?format=json for the JSON body), and sets explicit
 // read/write/idle timeouts so one slow client cannot pin a connection
@@ -75,7 +70,6 @@ type config struct {
 	batchWindowTarget time.Duration
 	store             string
 	dataDir           string
-	shards            int
 	walSegmentBytes   int64
 	compactThreshold  int64
 	responseCache     int64
@@ -99,9 +93,7 @@ func main() {
 	flag.StringVar(&cfg.store, "store", "mem",
 		"storage backend: mem (process-lifetime maps) or file (WAL-backed, crash-safe)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "",
-		"data directory for -store=file (required; shard WALs live under it)")
-	flag.IntVar(&cfg.shards, "shards", 1,
-		"per-owner shard stripes over the backend (1 = unsharded)")
+		"data directory for -store=file (required)")
 	flag.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", 0,
 		"file store: WAL segment rotation threshold in bytes (0 = engine default)")
 	flag.Int64Var(&cfg.compactThreshold, "compact-threshold", 0,
@@ -128,34 +120,26 @@ func main() {
 
 // openStore builds the configured storage backend.
 func openStore(cfg config, sys *core.System) (cloud.Store, error) {
-	if cfg.shards < 1 {
-		return nil, fmt.Errorf("-shards must be >= 1, got %d", cfg.shards)
-	}
 	switch cfg.store {
 	case "mem":
-		if cfg.shards == 1 {
-			return cloud.NewMemStore(), nil
-		}
-		return cloud.NewShardedMemStore(cfg.shards), nil
+		return cloud.NewMemStore(), nil
 	case "file":
 		if cfg.dataDir == "" {
 			return nil, errors.New("-store=file requires -data-dir")
 		}
-		openShard := func(dir string) (cloud.Store, error) {
-			fstore, err := cloud.OpenFileStore(sys, dir)
-			if err != nil {
-				return nil, err
-			}
-			fstore.SetSegmentBytes(cfg.walSegmentBytes)
-			fstore.SetCompactThreshold(cfg.compactThreshold)
-			return fstore, nil
+		// Older servers could stripe the file store per owner into
+		// shard-NNN subdirectories; opened as one store, such a dir would
+		// come up empty without a word.
+		if old, _ := filepath.Glob(filepath.Join(cfg.dataDir, "shard-[0-9]*")); len(old) > 0 {
+			return nil, fmt.Errorf("-data-dir holds %s from an older per-owner sharded store, which is no longer supported", old[0])
 		}
-		if cfg.shards == 1 {
-			return openShard(cfg.dataDir)
+		fstore, err := cloud.OpenFileStore(sys, cfg.dataDir)
+		if err != nil {
+			return nil, err
 		}
-		return cloud.NewShardedStore(cfg.shards, func(i int) (cloud.Store, error) {
-			return openShard(filepath.Join(cfg.dataDir, fmt.Sprintf("shard-%03d", i)))
-		})
+		fstore.SetSegmentBytes(cfg.walSegmentBytes)
+		fstore.SetCompactThreshold(cfg.compactThreshold)
+		return fstore, nil
 	default:
 		return nil, fmt.Errorf("unknown -store %q (want mem or file)", cfg.store)
 	}
@@ -186,8 +170,8 @@ func run(cfg config) error {
 		}()
 	}
 	info := server.StoreInfo()
-	fmt.Printf("maacs-server: store %s, %d shard(s), %d record(s) loaded, wal %d bytes\n",
-		info.Backend, info.Shards, info.Records, info.WALBytes)
+	fmt.Printf("maacs-server: store %s, %d record(s) loaded, wal %d bytes\n",
+		info.Backend, info.Records, info.WALBytes)
 	listener, bound, err := cloud.ServeRPC(sys, server, cfg.addr)
 	if err != nil {
 		store.Close()

@@ -138,9 +138,9 @@ type OwnerStats struct {
 // ciphertext/sealed-payload bytes the server returned to it. Downloads are
 // the Server↔User channel of Table IV; this is the per-user attribution of
 // that traffic, the consumer-side sibling of OwnerStats, exposed via
-// Metrics.Users and the `maacs_user_*` Prometheus families. Requests that
-// fail (unknown record or component) are not metered — the download never
-// happened.
+// Metrics.Users (the JSON body of /metrics only: user IDs are client-chosen,
+// so they never become Prometheus labels). Requests that fail (unknown
+// record or component) are not metered — the download never happened.
 type UserStats struct {
 	// RecordFetches counts successful whole-record downloads.
 	RecordFetches uint64 `json:"record_fetches"`

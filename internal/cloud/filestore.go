@@ -865,7 +865,7 @@ func (f *FileStore) Delete(id, ownerID string) (*Record, error) {
 // ReplaceIfUnchanged validates the swaps against the pending-aware view,
 // logs every updated record in one group commit, then publishes the new
 // records.
-func (f *FileStore) ReplaceIfUnchanged(ownerID string, swaps []CTSwap) error {
+func (f *FileStore) ReplaceIfUnchanged(swaps []CTSwap) error {
 	return f.commit(func() ([][]byte, []overlayWrite, func(), error) {
 		for _, sw := range swaps {
 			rec, ok := f.lookupLocked(sw.RecordID)
@@ -935,7 +935,6 @@ func (f *FileStore) Restore(recs []*Record) error {
 func (f *FileStore) Info() StoreInfo {
 	info := StoreInfo{
 		Backend:     "file",
-		Shards:      1,
 		WALBytes:    f.walBytes.Load(),
 		WALSegments: int(f.segments.Load()),
 		WALFsyncs:   f.fsyncs.Load(),

@@ -81,7 +81,7 @@ type HTTPBatchReEncryptResponse struct {
 }
 
 // HTTPHealth is the GET /healthz body: liveness plus a description of the
-// storage backend (engine, shard count, WAL state, records loaded). Status
+// storage backend (engine, WAL state, records loaded). Status
 // is "degraded" while the backend reports a background-compaction failure —
 // writes are still durable through the WAL, but the log is no longer being
 // folded and disk usage grows unbounded.

@@ -188,33 +188,9 @@ func WritePrometheus(w io.Writer, m HTTPMetrics) error {
 		}
 	}
 
-	users := make([]string, 0, len(m.Users))
-	for id := range m.Users {
-		users = append(users, id)
-	}
-	sort.Strings(users)
-	userFamilies := []struct {
-		name string
-		typ  string
-		help string
-		val  func(UserStats) string
-	}{
-		{"maacs_user_record_fetches_total", "counter", "Whole-record downloads per user.",
-			func(u UserStats) string { return uintVal(u.RecordFetches) }},
-		{"maacs_user_component_fetches_total", "counter", "Single-component downloads per user.",
-			func(u UserStats) string { return uintVal(u.ComponentFetches) }},
-		{"maacs_user_fetched_bytes_total", "counter", "Bytes served to downloads per user.",
-			func(u UserStats) string { return uintVal(u.FetchedBytes) }},
-	}
-	for _, fam := range userFamilies {
-		if len(users) == 0 {
-			break
-		}
-		b.family(fam.name, fam.typ, fam.help)
-		for _, id := range users {
-			b.sample(fam.name, label("user", id), fam.val(m.Users[id]))
-		}
-	}
+	// Per-user rows stay in the JSON body only: user IDs are client-chosen
+	// (?user=, RPCFetchArgs.User), so one series per user would let any
+	// client grow the exposition without bound.
 
 	channels := make([]string, 0, len(m.Channels))
 	for ch := range m.Channels {

@@ -63,7 +63,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 			},
 		},
 		Store: StoreInfo{
-			Backend: "file", Shards: 1,
+			Backend:  "file",
 			WALBytes: 8192, WALSegments: 3, WALFsyncs: 17, Compactions: 2,
 			Records: 3,
 		},
@@ -191,18 +191,6 @@ maacs_owner_engine_jobs_total{owner="ward\"7"} 0
 # TYPE maacs_owner_engine_wall_seconds_total counter
 maacs_owner_engine_wall_seconds_total{owner="hospital"} 1.5
 maacs_owner_engine_wall_seconds_total{owner="ward\"7"} 0
-# HELP maacs_user_record_fetches_total Whole-record downloads per user.
-# TYPE maacs_user_record_fetches_total counter
-maacs_user_record_fetches_total{user="alice"} 4
-maacs_user_record_fetches_total{user="bob"} 0
-# HELP maacs_user_component_fetches_total Single-component downloads per user.
-# TYPE maacs_user_component_fetches_total counter
-maacs_user_component_fetches_total{user="alice"} 9
-maacs_user_component_fetches_total{user="bob"} 2
-# HELP maacs_user_fetched_bytes_total Bytes served to downloads per user.
-# TYPE maacs_user_fetched_bytes_total counter
-maacs_user_fetched_bytes_total{user="alice"} 1536
-maacs_user_fetched_bytes_total{user="bob"} 512
 # HELP maacs_channel_bytes_total Bytes exchanged per protocol channel (Table IV tallies).
 # TYPE maacs_channel_bytes_total counter
 maacs_channel_bytes_total{channel="Server↔Owner"} 4096

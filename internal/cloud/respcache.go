@@ -177,8 +177,8 @@ func (c *ResponseCache) genOf(id string) uint64 {
 }
 
 // Bump advances the record's generation and drops its cached responses. Every
-// mutation path calls it after the store commit succeeds (or may have
-// partially succeeded, as in a sharded Restore) and before returning, so no
+// mutation path calls it after the store commit succeeds (Restore calls it
+// whatever the outcome) and before returning, so no
 // fetch that starts after the mutation completes can see pre-mutation bytes.
 func (c *ResponseCache) Bump(id string) {
 	cell, ok := c.gens.Load(id)

@@ -199,13 +199,14 @@ var durationOps = []string{opStore, opFetch, opFetchComponent, opDelete, opReEnc
 // and performs proxy re-encryption during revocation. It holds no secret key
 // material and never sees a plaintext or content key.
 //
-// Record storage lives behind the Store interface — in-memory, file-backed
-// (WAL + snapshot) or sharded per owner — and the store carries its own
-// synchronization. The server's mutex guards only the small counter state
-// (metrics, per-owner/per-user rows, configuration) and is never held across
-// a store operation, an engine run or any I/O, so downloads of different
-// records proceed concurrently and a re-encryption commit on one owner's
-// shard never blocks another owner's fetches.
+// Record storage lives behind the Store interface — in-memory or file-backed
+// (WAL + snapshot) — and the store carries its own synchronization. The
+// server's mutex guards only the small counter state (metrics, per-owner/
+// per-user rows, configuration) and is never held across a store operation,
+// an engine run or any I/O, so downloads of different records proceed
+// concurrently. A re-encryption commit blocks readers only for its pointer
+// swaps (FileStore reads never wait on its fsync), and cached fetches never
+// touch the store at all.
 type Server struct {
 	sys   *core.System
 	acct  *Accounting
@@ -248,7 +249,7 @@ type userCounters struct {
 }
 
 // defaultStore, when non-nil, overrides the backend NewServer installs. The
-// test suite sets it (MAACS_STORE=file|sharded|sharded-file) to run every
+// test suite sets it (MAACS_STORE=file) to run every
 // NewServer-based test against another backend; production code leaves it
 // nil, which means a fresh MemStore.
 var defaultStore func(sys *core.System) Store
@@ -586,8 +587,8 @@ func (s *Server) ReEncryptBatch(ownerID string, items []ReEncryptItem) (*BatchRe
 // while the expensive group arithmetic runs — and commits its swaps
 // atomically through Store.ReplaceIfUnchanged, which re-validates that every
 // slot still holds the snapshot it was computed from (ErrReEncryptConflict
-// otherwise). Under a sharded store the commit takes only the owner's shard
-// lock, so it cannot delay another owner's traffic.
+// otherwise). The commit runs after the engine run, never across it, and
+// blocks readers only for its pointer swaps.
 //
 // Items must target disjoint ciphertexts — chained version updates of the
 // same ciphertext need sequential requests. Each window is all-or-nothing
@@ -748,7 +749,7 @@ func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, e
 	// Commit only if every slot still holds the ciphertext this window was
 	// computed from; a concurrent writer (another batch, a delete) means the
 	// results would overwrite state they were not derived from. The store
-	// applies the whole window atomically under its (shard's) lock.
+	// applies the whole window atomically under its lock.
 	if s.commitHook != nil {
 		s.commitHook()
 	}
@@ -756,7 +757,7 @@ func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, e
 	for j, w := range work {
 		swaps[j] = CTSwap{RecordID: w.recID, Index: w.idx, Expect: w.ct, New: reencs[j]}
 	}
-	if err := s.store.ReplaceIfUnchanged(ownerID, swaps); err != nil {
+	if err := s.store.ReplaceIfUnchanged(swaps); err != nil {
 		return engine.Stats{}, err
 	}
 	// The window committed: invalidate each replaced record's cached

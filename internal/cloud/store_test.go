@@ -60,29 +60,20 @@ func sameRecords(t *testing.T, want, got []*Record) {
 	}
 }
 
+// storeBackends opens a fresh store of each backend per test.
+func storeBackends(sys *core.System) map[string]func(t *testing.T) Store {
+	return map[string]func(t *testing.T) Store{
+		"mem":  func(*testing.T) Store { return NewMemStore() },
+		"file": func(t *testing.T) Store { return mustOpenFileStore(t, sys, t.TempDir()) },
+	}
+}
+
 // TestStoreBackendsConformance runs the Store contract over every backend:
 // duplicate rejection, the delete owner check, sorted listings, owner scans,
 // conditional re-encryption commits and batch restore.
 func TestStoreBackendsConformance(t *testing.T) {
 	sys, recs := storeFixture(t, 4)
-	backends := map[string]func(t *testing.T) Store{
-		"mem":  func(*testing.T) Store { return NewMemStore() },
-		"file": func(t *testing.T) Store { return mustOpenFileStore(t, sys, t.TempDir()) },
-		"sharded-mem": func(*testing.T) Store {
-			return NewShardedMemStore(3)
-		},
-		"sharded-file": func(t *testing.T) Store {
-			dir := t.TempDir()
-			s, err := NewShardedStore(3, func(i int) (Store, error) {
-				return OpenFileStore(sys, filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-	}
-	for name, open := range backends {
+	for name, open := range storeBackends(sys) {
 		t.Run(name, func(t *testing.T) {
 			st := open(t)
 			defer st.Close()
@@ -122,7 +113,7 @@ func TestStoreBackendsConformance(t *testing.T) {
 			live, _ := st.Get("rec-00")
 			oldCT := live.Components[0].CT
 			newCT := oldCT.Clone()
-			if err := st.ReplaceIfUnchanged("owner-1", []CTSwap{
+			if err := st.ReplaceIfUnchanged([]CTSwap{
 				{RecordID: "rec-00", Index: 0, Expect: oldCT, New: newCT},
 			}); err != nil {
 				t.Fatal(err)
@@ -134,7 +125,7 @@ func TestStoreBackendsConformance(t *testing.T) {
 			if live.Components[0].CT != oldCT {
 				t.Fatal("swap mutated a handed-out record")
 			}
-			err := st.ReplaceIfUnchanged("owner-1", []CTSwap{
+			err := st.ReplaceIfUnchanged([]CTSwap{
 				{RecordID: "rec-00", Index: 0, Expect: oldCT, New: oldCT.Clone()},
 			})
 			if !errors.Is(err, ErrReEncryptConflict) {
@@ -145,8 +136,10 @@ func TestStoreBackendsConformance(t *testing.T) {
 			}
 
 			// Delete enforces ownership; restore refuses overwrites.
-			if _, err := st.Delete("rec-01", "impostor"); err == nil {
-				t.Fatal("wrong owner deleted")
+			for _, impostor := range []string{"impostor", ""} {
+				if _, err := st.Delete("rec-01", impostor); err == nil {
+					t.Fatalf("owner %q deleted another owner's record", impostor)
+				}
 			}
 			if _, err := st.Delete("rec-01", "owner-1"); err != nil {
 				t.Fatal(err)
@@ -168,7 +161,7 @@ func TestStoreBackendsConformance(t *testing.T) {
 			}
 
 			info := st.Info()
-			if info.Records != 4 || info.Shards < 1 || info.Backend == "" {
+			if info.Records != 4 || info.Backend == "" {
 				t.Fatalf("info %+v", info)
 			}
 		})
@@ -214,7 +207,7 @@ func TestFileStoreReopenServesCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	live, _ := fs.Get("rec-00")
-	if err := fs.ReplaceIfUnchanged("owner-1", []CTSwap{
+	if err := fs.ReplaceIfUnchanged([]CTSwap{
 		{RecordID: "rec-00", Index: 0, Expect: live.Components[0].CT, New: live.Components[0].CT.Clone()},
 	}); err != nil {
 		t.Fatal(err)
@@ -432,14 +425,23 @@ func TestFileServerRestartMidWorkload(t *testing.T) {
 	}
 }
 
-// TestShardedStoreMixedRace hammers a sharded store with concurrent
+// TestStoreMixedRace hammers each backend with concurrent
 // fetch/store/re-encrypt traffic across owners (run under -race by
 // scripts/check.sh). Every owner has its own authority, so the goroutines'
 // revocations are independent; the cross-owner fetches are the part the
-// striping must keep safe and non-blocking.
-func TestShardedStoreMixedRace(t *testing.T) {
+// store's locking must keep safe while another owner's commit lands.
+func TestStoreMixedRace(t *testing.T) {
 	sys := core.NewSystem(pairing.Test())
-	env := NewEnvWithStore(sys, rand.Reader, NewShardedMemStore(4))
+	for name, open := range storeBackends(sys) {
+		t.Run(name, func(t *testing.T) {
+			st := open(t)
+			defer st.Close()
+			storeMixedRace(t, NewEnvWithStore(sys, rand.Reader, st))
+		})
+	}
+}
+
+func storeMixedRace(t *testing.T, env *Env) {
 	const owners = 3
 	const rounds = 2
 	ownerClients := make([]*OwnerClient, owners)
@@ -527,8 +529,7 @@ func TestShardedStoreMixedRace(t *testing.T) {
 	if got, want := len(env.Server.RecordIDs()), owners*(rounds+1); got != want {
 		t.Fatalf("stored %d records, want %d", got, want)
 	}
-	info := env.Server.StoreInfo()
-	if info.Shards != 4 || info.Records != owners*(rounds+1) {
+	if info := env.Server.StoreInfo(); info.Records != owners*(rounds+1) {
 		t.Fatalf("store info %+v", info)
 	}
 }

@@ -20,8 +20,15 @@ func TestRPCDelete(t *testing.T) {
 	if err := remote.Store(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.Delete("r1", "intruder"); err == nil {
-		t.Fatal("foreign delete accepted over RPC")
+	// An empty owner is no wildcard: net/rpc has no gateway to reject it
+	// before the store's owner check.
+	for _, intruder := range []string{"intruder", ""} {
+		if err := remote.Delete("r1", intruder); err == nil {
+			t.Fatalf("delete as owner %q accepted over RPC", intruder)
+		}
+		if _, err := remote.Fetch("r1"); err != nil {
+			t.Fatalf("record gone after refused delete as owner %q: %v", intruder, err)
+		}
 	}
 	if err := remote.Delete("r1", "hospital"); err != nil {
 		t.Fatal(err)

@@ -14,16 +14,14 @@ echo "== go test -race ./internal/cloud/..."
 go test -race -count=1 ./internal/cloud/...
 echo "== streaming-batch race gate"
 go test -race -count=2 -run 'TestStreamingBatchRace|TestFetchDuringReEncryptNoRace' ./internal/cloud/
-echo "== storage race gate: crash recovery + sharded mixed traffic"
-go test -race -count=2 -run 'TestFileStoreCrashRecovery|TestShardedStoreMixedRace' ./internal/cloud/
+echo "== storage race gate: crash recovery + cross-owner mixed traffic"
+go test -race -count=2 -run 'TestFileStoreCrashRecovery|TestStoreMixedRace' ./internal/cloud/
 echo "== group-commit race gate: concurrent writers + kill-at-any-point"
 go test -race -count=2 -run 'TestFileStoreGroupCommit|TestFileStoreKillAnywhere' ./internal/cloud/
-echo "== WAL fault-injection gate: append faults, compaction faults, partial restore"
-go test -count=1 -run 'TestFileStoreAppendFaultTruncates|TestFileStoreCompactFault|TestFileStoreCompactionCrashBeforeDelete|TestShardedStoreRestorePartialFailure' ./internal/cloud/
+echo "== WAL fault-injection gate: append faults, compaction faults"
+go test -count=1 -run 'TestFileStoreAppendFaultTruncates|TestFileStoreCompactFault|TestFileStoreCompactionCrashBeforeDelete' ./internal/cloud/
 echo "== cloud suite on the file backend (MAACS_STORE=file)"
 MAACS_STORE=file go test -count=1 ./internal/cloud/
-echo "== cloud suite on the sharded file backend (MAACS_STORE=sharded-file)"
-MAACS_STORE=sharded-file go test -count=1 ./internal/cloud/
 echo "== load-smoke gate: open-loop harness vs live server, both transports"
 go test -race -count=1 -run 'TestMeasureLoadSmoke' ./internal/bench/
 echo "== response-cache gate: byte differential + stale-generation hammer (race)"
